@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -23,7 +24,23 @@ type benchBaseline struct {
 	Points map[string]struct {
 		AllocsPerOp    float64 `json:"allocs_per_op"`
 		MaxAllocsPerOp float64 `json:"max_allocs_per_op"`
+		BytesPerOp     float64 `json:"bytes_per_op"`
+		MaxBytesPerOp  float64 `json:"max_bytes_per_op"`
 	} `json:"points"`
+}
+
+// allocsPerRun is testing.AllocsPerRun(1, f) that also reports the
+// bytes allocated: f runs once to warm up, then once measured with
+// GOMAXPROCS at 1, and the heap's Mallocs and TotalAlloc deltas over the
+// measured run are returned.
+func allocsPerRun(f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 }
 
 // loadBaseline reads one baseline file or fails the test.
@@ -43,12 +60,15 @@ func loadBaseline(t *testing.T, path string) benchBaseline {
 // TestBenchmarkRegression is the benchmark-regression harness CI runs on
 // every push: it executes one end-to-end simulation point per protocol
 // (the exact configuration BenchmarkSimulatePoint measures) under
-// testing.AllocsPerRun and fails if the allocation count exceeds the
-// ceiling recorded in BENCH_kernel.json. Allocation counts are
-// deterministic, unlike ns/op, so this gate holds on any hardware; the
-// ceilings carry ~35% headroom over the recorded baseline for runtime
-// and Go-version drift. If an intentional change raises allocations,
-// regenerate the baseline (see BENCH_kernel.json) in the same PR.
+// allocsPerRun and fails if the allocation count or the bytes allocated
+// exceed the ceilings recorded in BENCH_kernel.json. Allocation counts
+// and bytes are deterministic, unlike ns/op, so this gate holds on any
+// hardware; the ceilings carry ~35% headroom over the recorded baseline
+// for runtime and Go-version drift. The byte ceiling keeps per-point
+// host memory proportional to what the point touches (lazily paged
+// caches, multicast trees sized to their edges). If an intentional
+// change raises allocations, regenerate the baseline (see
+// BENCH_kernel.json) in the same PR.
 func TestBenchmarkRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping benchmark regression in -short mode")
@@ -72,8 +92,11 @@ func TestBenchmarkRegression(t *testing.T) {
 			if !ok {
 				t.Fatalf("baseline names unknown protocol %q", proto)
 			}
+			if limits.MaxBytesPerOp <= 0 {
+				t.Fatalf("baseline for %s records no max_bytes_per_op", proto)
+			}
 			pt := benchPoint(proto, topo, "oltp", 1)
-			allocs := testing.AllocsPerRun(1, func() {
+			allocs, bytes := allocsPerRun(func() {
 				if _, err := harness.Run(pt); err != nil {
 					t.Fatal(err)
 				}
@@ -82,6 +105,11 @@ func TestBenchmarkRegression(t *testing.T) {
 				t.Errorf("%s point allocated %.0f objects, baseline ceiling is %.0f (recorded %.0f); "+
 					"if intentional, regenerate BENCH_kernel.json in this PR",
 					proto, allocs, limits.MaxAllocsPerOp, limits.AllocsPerOp)
+			}
+			if bytes > limits.MaxBytesPerOp {
+				t.Errorf("%s point allocated %.0f bytes, baseline ceiling is %.0f (recorded %.0f); "+
+					"if intentional, regenerate BENCH_kernel.json in this PR",
+					proto, bytes, limits.MaxBytesPerOp, limits.BytesPerOp)
 			}
 		})
 	}

@@ -39,8 +39,7 @@ type Line struct {
 	// Data is the block payload, modelled as a write version.
 	Data uint64
 
-	lru  uint64
-	used bool
+	lru uint64
 }
 
 // Reset clears a line for reuse, preserving nothing.
@@ -48,12 +47,32 @@ func (l *Line) Reset() {
 	*l = Line{}
 }
 
+// pageShift sets the page size: a page covers 1<<pageShift consecutive
+// sets. Pages are the unit of lazy materialization, so host memory grows
+// with the sets a run actually touches rather than with the modelled
+// capacity (the paper's 4 MB L2 is 16384 sets, of which a short run
+// touches a few percent, clustered by the workloads' contiguous
+// regions).
+const pageShift = 6
+
+// page holds the tags and lines of 1<<pageShift sets (fewer for the
+// last page of a cache whose set count is not a page multiple). tags is
+// the residency record: tags[i] is the resident block+1 of way i (set
+// major), or 0 when the way is empty. A probe scans one contiguous tag
+// group and touches a Line only on a hit.
+type page struct {
+	tags  []uint64
+	lines []Line
+}
+
 // Cache is a set-associative cache with LRU replacement. It tracks tags
-// and metadata only; timing is the caller's concern.
+// and metadata only; timing is the caller's concern. Storage is paged:
+// a page is allocated by the first Allocate into one of its sets, and
+// probes of an absent page miss without allocating.
 type Cache struct {
 	sets    int
 	assoc   int
-	lines   []Line // sets*assoc, set-major
+	pages   []*page
 	tick    uint64
 	entries int
 }
@@ -68,10 +87,11 @@ func New(sizeBytes, assoc int) *Cache {
 	if blocks == 0 || blocks%assoc != 0 {
 		panic(fmt.Sprintf("cache: %d bytes / %d-way does not form whole sets", sizeBytes, assoc))
 	}
+	sets := blocks / assoc
 	return &Cache{
-		sets:  blocks / assoc,
+		sets:  sets,
 		assoc: assoc,
-		lines: make([]Line, blocks),
+		pages: make([]*page, (sets+1<<pageShift-1)>>pageShift),
 	}
 }
 
@@ -84,19 +104,45 @@ func (c *Cache) Assoc() int { return c.assoc }
 // Len reports the number of resident lines.
 func (c *Cache) Len() int { return c.entries }
 
-func (c *Cache) set(b msg.Block) []Line {
+// tag is the residency tag of b (0 is reserved for an empty way).
+func tag(b msg.Block) uint64 { return uint64(b) + 1 }
+
+// locate returns the set holding b: its page index and the offset of
+// the set's first way within that page.
+func (c *Cache) locate(b msg.Block) (p, base int) {
 	s := int(uint64(b) % uint64(c.sets))
-	return c.lines[s*c.assoc : (s+1)*c.assoc]
+	return s >> pageShift, (s & (1<<pageShift - 1)) * c.assoc
+}
+
+// find returns the way of b within the set at base of pg, or -1.
+func (c *Cache) find(pg *page, base int, b msg.Block) int {
+	t := tag(b)
+	for i, got := range pg.tags[base : base+c.assoc] {
+		if got == t {
+			return i
+		}
+	}
+	return -1
+}
+
+// materialize allocates page p.
+func (c *Cache) materialize(p int) *page {
+	n := min(1<<pageShift, c.sets-p<<pageShift) * c.assoc
+	pg := &page{tags: make([]uint64, n), lines: make([]Line, n)}
+	c.pages[p] = pg
+	return pg
 }
 
 // Lookup returns the line holding b, or nil. It does not update LRU
 // state; call Touch on use.
 func (c *Cache) Lookup(b msg.Block) *Line {
-	set := c.set(b)
-	for i := range set {
-		if set[i].used && set[i].Block == b {
-			return &set[i]
-		}
+	p, base := c.locate(b)
+	pg := c.pages[p]
+	if pg == nil {
+		return nil
+	}
+	if i := c.find(pg, base, b); i >= 0 {
+		return &pg.lines[base+i]
 	}
 	return nil
 }
@@ -121,52 +167,64 @@ func (c *Cache) Allocate(b msg.Block) (line *Line, victim Line, evicted bool) {
 // is marked avoid. Coherence controllers use it to keep lines with
 // in-flight transactions resident when possible.
 func (c *Cache) AllocateAvoiding(b msg.Block, avoid func(msg.Block) bool) (line *Line, victim Line, evicted bool) {
-	set := c.set(b)
-	var free *Line
-	var lruPreferred, lruAny *Line
-	for i := range set {
-		l := &set[i]
-		if l.used && l.Block == b {
+	p, base := c.locate(b)
+	pg := c.pages[p]
+	if pg == nil {
+		pg = c.materialize(p)
+	}
+	tags := pg.tags[base : base+c.assoc]
+	set := pg.lines[base : base+c.assoc]
+	t := tag(b)
+	free, lruPreferred, lruAny := -1, -1, -1
+	for i, got := range tags {
+		if got == t {
 			panic(fmt.Sprintf("cache: Allocate of resident block %d", b))
 		}
-		if !l.used {
-			if free == nil {
-				free = l
+		if got == 0 {
+			if free < 0 {
+				free = i
 			}
 			continue
 		}
-		if lruAny == nil || l.lru < lruAny.lru {
-			lruAny = l
+		l := &set[i]
+		if lruAny < 0 || l.lru < set[lruAny].lru {
+			lruAny = i
 		}
 		if avoid == nil || !avoid(l.Block) {
-			if lruPreferred == nil || l.lru < lruPreferred.lru {
-				lruPreferred = l
+			if lruPreferred < 0 || l.lru < set[lruPreferred].lru {
+				lruPreferred = i
 			}
 		}
 	}
-	if free == nil {
-		lru := lruPreferred
-		if lru == nil {
-			lru = lruAny
+	if free < 0 {
+		free = lruPreferred
+		if free < 0 {
+			free = lruAny
 		}
-		victim = *lru
+		victim = set[free]
 		evicted = true
-		lru.Reset()
-		free = lru
+		set[free].Reset()
 		c.entries--
 	}
-	free.used = true
-	free.Block = b
+	tags[free] = t
+	line = &set[free]
+	line.Block = b
 	c.entries++
-	c.Touch(free)
-	return free, victim, evicted
+	c.Touch(line)
+	return line, victim, evicted
 }
 
 // Remove evicts b without replacement (e.g., on invalidation). It is a
 // no-op if b is absent.
 func (c *Cache) Remove(b msg.Block) {
-	if l := c.Lookup(b); l != nil {
-		l.Reset()
+	p, base := c.locate(b)
+	pg := c.pages[p]
+	if pg == nil {
+		return
+	}
+	if i := c.find(pg, base, b); i >= 0 {
+		pg.tags[base+i] = 0
+		pg.lines[base+i].Reset()
 		c.entries--
 	}
 }
@@ -174,26 +232,35 @@ func (c *Cache) Remove(b msg.Block) {
 // VictimFor returns the line that Allocate(b) would evict, or nil when a
 // free way exists. Callers use it to issue writebacks before allocating.
 func (c *Cache) VictimFor(b msg.Block) *Line {
-	set := c.set(b)
+	p, base := c.locate(b)
+	pg := c.pages[p]
+	if pg == nil {
+		return nil
+	}
+	set := pg.lines[base : base+c.assoc]
 	var lru *Line
-	for i := range set {
-		l := &set[i]
-		if !l.used {
+	for i, got := range pg.tags[base : base+c.assoc] {
+		if got == 0 {
 			return nil
 		}
-		if lru == nil || l.lru < lru.lru {
+		if l := &set[i]; lru == nil || l.lru < lru.lru {
 			lru = l
 		}
 	}
 	return lru
 }
 
-// ForEach visits every resident line. The callback must not allocate or
-// remove lines.
+// ForEach visits every resident line in set-major, way order. The
+// callback must not allocate or remove lines.
 func (c *Cache) ForEach(f func(*Line)) {
-	for i := range c.lines {
-		if c.lines[i].used {
-			f(&c.lines[i])
+	for _, pg := range c.pages {
+		if pg == nil {
+			continue
+		}
+		for i, got := range pg.tags {
+			if got != 0 {
+				f(&pg.lines[i])
+			}
 		}
 	}
 }

@@ -292,8 +292,8 @@ type netOp struct {
 	m     *msg.Message
 	h     Handler
 	path  []topology.LinkID
-	nodes []*mcNode
 	mc    *mcast
+	first int32 // opWalk: first sibling edge to walk
 	dsts  []msg.Port
 	t     sim.Time
 	ser   sim.Time
@@ -322,7 +322,7 @@ func (n *Network) getOp() *netOp {
 }
 
 func (n *Network) putOp(op *netOp) {
-	op.m, op.h, op.path, op.nodes, op.mc, op.dsts = nil, nil, nil, nil, nil, nil
+	op.m, op.h, op.path, op.mc, op.dsts = nil, nil, nil, nil, nil
 	op.next = n.freeOps
 	n.freeOps = op
 }
@@ -335,7 +335,7 @@ func (n *Network) putOp(op *netOp) {
 func (op *netOp) run() {
 	n := op.n
 	kind, m, h := op.kind, op.m, op.h
-	path, nodes, mc, dsts := op.path, op.nodes, op.mc, op.dsts
+	path, mc, first, dsts := op.path, op.mc, op.first, op.dsts
 	t, ser := op.t, op.ser
 	n.putOp(op)
 	switch kind {
@@ -346,7 +346,7 @@ func (op *netOp) run() {
 	case opHop:
 		n.hop(m, path, t, ser)
 	case opWalk:
-		n.walk(mc, nodes, t, ser)
+		n.walk(mc, first, t, ser)
 	case opSend:
 		n.Send(m)
 	case opMulticast:
@@ -396,28 +396,37 @@ func (n *Network) hop(m *msg.Message, path []topology.LinkID, t, ser sim.Time) {
 	n.kernel.ScheduleExec(next, arrival, op.fire)
 }
 
-// mcNode is one edge of a multicast routing tree. Nodes live in their
-// mcast's slab and are recycled with it.
+// mcNode is one edge of a multicast routing tree. Edges live in their
+// mcast's slab and link to each other by slab index (-1 for none): a
+// node's children are the sibling chain starting at child, in the order
+// the tree first reached them.
 type mcNode struct {
-	link     topology.LinkID
-	children []*mcNode
-	dests    []msg.Port // destinations whose path ends on this edge
+	link  int32 // topology.LinkID
+	child int32 // first child edge
+	next  int32 // next sibling edge
+	dest  int32 // first mcast.dests entry whose path ends on this edge
+}
+
+// mcDest is one destination port in an edge's destination chain.
+type mcDest struct {
+	port msg.Port
+	next int32
 }
 
 // mcast tracks one in-flight multicast: the template message, the
-// routing tree (slab-allocated), and the count of tree edges not yet
-// walked. When the last edge is walked every destination has its own
-// copy, so the template and the tree are recycled. The edge count is
-// decremented atomically because subtrees of one multicast may be
-// walked concurrently on different islands; all other fields are
-// written before the first walk and read-only afterwards.
+// routing tree (one slab entry per tree edge, grown by append and kept
+// across reuse), and the count of tree edges not yet walked. When the
+// last edge is walked every destination has its own copy, so the
+// template and the tree are recycled. The edge count is decremented
+// atomically because subtrees of one multicast may be walked
+// concurrently on different islands; all other fields are written
+// before the first walk and read-only afterwards.
 type mcast struct {
 	m     *msg.Message
 	edges int32
+	root  int32 // first edge leaving the source
 	slab  []mcNode
-	roots []*mcNode
-	paths [][]topology.LinkID
-	dsts  []msg.Port
+	dests []mcDest
 	next  *mcast
 }
 
@@ -428,97 +437,95 @@ func (n *Network) getMcast() *mcast {
 	} else {
 		n.freeMcs = mc.next
 	}
-	mc.paths = mc.paths[:0]
-	mc.dsts = mc.dsts[:0]
-	mc.roots = mc.roots[:0]
+	mc.root = -1
+	mc.slab = mc.slab[:0]
+	mc.dests = mc.dests[:0]
 	return mc
 }
 
 func (n *Network) putMcast(mc *mcast) {
 	mc.m = nil
-	mc.slab = mc.slab[:0]
 	mc.next = n.freeMcs
 	n.freeMcs = mc
 }
 
-// node takes the next tree node from the slab, keeping the capacity of
-// its child/destination slices from earlier multicasts. The slab is
-// pre-sized by Multicast, so taking never reallocates (which would
-// invalidate earlier *mcNode pointers).
-func (mc *mcast) node(l topology.LinkID) *mcNode {
-	i := len(mc.slab)
-	mc.slab = mc.slab[:i+1]
-	nd := &mc.slab[i]
-	nd.link = l
-	nd.children = nd.children[:0]
-	nd.dests = nd.dests[:0]
-	return nd
-}
-
-// build folds the per-destination paths into their prefix tree.
-// Deterministic routing guarantees prefix closure (verified by the
-// topology tests), so paths sharing a link share the entire prefix.
-func (mc *mcast) build() {
-	for i, path := range mc.paths {
-		level := &mc.roots
-		var nd *mcNode
-		for _, l := range path {
-			nd = mc.findOrAdd(level, l)
-			level = &nd.children
-		}
-		nd.dests = append(nd.dests, mc.dsts[i])
+// add folds dst's path into the tree. Deterministic routing guarantees
+// prefix closure (verified by the topology tests), so paths sharing a
+// link share the entire prefix, and the tree holds each link once.
+func (mc *mcast) add(path []topology.LinkID, dst msg.Port) {
+	nd := int32(-1)
+	for _, l := range path {
+		nd = mc.edge(nd, int32(l))
 	}
-	mc.edges = int32(len(mc.slab))
-}
-
-func (mc *mcast) findOrAdd(nodes *[]*mcNode, link topology.LinkID) *mcNode {
-	for _, nd := range *nodes {
-		if nd.link == link {
-			return nd
-		}
+	d := int32(len(mc.dests))
+	mc.dests = append(mc.dests, mcDest{port: dst, next: -1})
+	at := &mc.slab[nd].dest
+	for *at >= 0 {
+		at = &mc.dests[*at].next
 	}
-	nd := mc.node(link)
-	*nodes = append(*nodes, nd)
-	return nd
+	*at = d
 }
 
-// walk reserves the given edges at time t, schedules deliveries for
-// destinations reached, and chains child edges at the head's arrival.
-// Each edge of the tree is reserved in exactly one event, in arrival
-// order, which keeps links work-conserving FIFOs. Walking the last edge
-// recycles the multicast.
-func (n *Network) walk(mc *mcast, nodes []*mcNode, t sim.Time, ser sim.Time) {
+// edge returns the child edge of parent (-1: the source) on link,
+// appending it after parent's existing children when absent.
+func (mc *mcast) edge(parent, link int32) int32 {
+	at := &mc.root
+	if parent >= 0 {
+		at = &mc.slab[parent].child
+	}
+	for *at >= 0 {
+		if mc.slab[*at].link == link {
+			return *at
+		}
+		at = &mc.slab[*at].next
+	}
+	i := int32(len(mc.slab))
+	*at = i // before the append, which may move the slab under at
+	mc.slab = append(mc.slab, mcNode{link: link, child: -1, next: -1, dest: -1})
+	return i
+}
+
+// walk reserves the sibling edges starting at first at time t, schedules
+// deliveries for destinations reached, and chains child edges at the
+// head's arrival. Each edge of the tree is reserved in exactly one
+// event, in arrival order, which keeps links work-conserving FIFOs.
+// Walking the last edge recycles the multicast.
+func (n *Network) walk(mc *mcast, first int32, t sim.Time, ser sim.Time) {
 	m := mc.m
-	for _, nd := range nodes {
+	walked := int32(0)
+	for e := first; e >= 0; e = mc.slab[e].next {
+		nd := &mc.slab[e]
+		link := topology.LinkID(nd.link)
 		d := t
-		n.sh.linkBytes[nd.link] += uint64(m.Bytes())
+		n.sh.linkBytes[link] += uint64(m.Bytes())
 		if n.cfg.LinkBandwidth > 0 {
-			if free := n.sh.nextFree[nd.link]; free > d {
+			if free := n.sh.nextFree[link]; free > d {
 				d = free
 			}
-			n.sh.nextFree[nd.link] = d + ser
+			n.sh.nextFree[link] = d + ser
 		}
 		arrival := d + n.cfg.LinkLatency
 		if n.obs != nil {
-			n.obs.OnNetworkHop(int(nd.link), m.Cat, m.Bytes(), d)
+			n.obs.OnNetworkHop(int(link), m.Cat, m.Bytes(), d)
 		}
-		for _, dst := range nd.dests {
+		for i := nd.dest; i >= 0; i = mc.dests[i].next {
 			cp := n.CloneMessage(m)
-			cp.Dst = dst
+			cp.Dst = mc.dests[i].port
 			n.deliver(cp, arrival+ser) // tail arrives one serialization later
 		}
-		if len(nd.children) > 0 {
+		if nd.child >= 0 {
 			// Child edges all emanate from this link's head vertex.
-			next := n.sh.linkHead[nd.link]
+			next := n.sh.linkHead[link]
 			op := n.getOp()
 			op.n = n.viewFor(next)
-			op.kind, op.mc, op.nodes, op.t, op.ser = opWalk, mc, nd.children, arrival, ser
+			op.kind, op.mc, op.first, op.t, op.ser = opWalk, mc, nd.child, arrival, ser
 			n.kernel.ScheduleExec(next, arrival, op.fire)
 		}
+		walked++
 	}
 	// The island walking the last edge recycles the multicast into its
 	// own free lists; the template message and slab migrate with it.
-	if atomic.AddInt32(&mc.edges, -int32(len(nodes))) == 0 {
+	if atomic.AddInt32(&mc.edges, -walked) == 0 {
 		n.pool.Put(mc.m)
 		n.putMcast(mc)
 	}
@@ -553,7 +560,6 @@ func (n *Network) SendAfter(m *msg.Message, delay sim.Time) {
 func (n *Network) Multicast(m *msg.Message, dsts []msg.Port) {
 	now := n.kernel.Now()
 	mc := n.getMcast()
-	need := 0
 	for _, dst := range dsts {
 		path := n.path(m.Src.Node, dst.Node)
 		if len(path) == 0 {
@@ -562,24 +568,19 @@ func (n *Network) Multicast(m *msg.Message, dsts []msg.Port) {
 			n.deliver(cp, now+n.cfg.LocalLatency)
 			continue
 		}
-		mc.paths = append(mc.paths, path)
-		mc.dsts = append(mc.dsts, dst)
-		need += len(path)
+		mc.add(path, dst)
 	}
-	if len(mc.dsts) == 0 {
+	if len(mc.slab) == 0 {
 		n.pool.Put(m)
 		n.putMcast(mc)
 		return
 	}
-	if cap(mc.slab) < need {
-		mc.slab = make([]mcNode, 0, need)
-	}
 	mc.m = m
-	mc.build()
+	mc.edges = int32(len(mc.slab))
 	if n.traffic != nil {
 		n.traffic.Record(m, int(mc.edges))
 	}
-	n.walk(mc, mc.roots, now, n.serialization(m.Bytes()))
+	n.walk(mc, mc.root, now, n.serialization(m.Bytes()))
 }
 
 // MulticastAfter schedules Multicast(m, dsts) after delay, without

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -477,5 +478,37 @@ func TestExecuteWithoutWarmupCountsEverything(t *testing.T) {
 	}
 	if run.Transactions != 50 {
 		t.Errorf("Transactions = %d, want 50", run.Transactions)
+	}
+}
+
+// TestSystemBuild256HeapGrowth bounds the host memory a large system
+// costs before it runs: building a 256-processor torus system with a
+// cache controller per node (each with the paper's 128 KB L1 and 4 MB
+// L2) must grow the live heap by under 32 MB. Cache storage is paged in
+// on first allocation, so construction pays for routing tables and
+// bookkeeping, not for the ~1 GB of modelled cache lines.
+func TestSystemBuild256HeapGrowth(t *testing.T) {
+	const procs, limit = 256, 32 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cfg := DefaultConfig()
+	cfg.Procs = procs
+	cfg.TokensPerBlock = procs
+	sys := NewSystem(cfg, topology.NewTorusFor(procs), 1)
+	bases := make([]*CacheBase, procs)
+	for i := range bases {
+		bases[i] = &CacheBase{}
+		bases[i].InitBase(sys, msg.NodeID(i), &hookRecorder{})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sys)
+	runtime.KeepAlive(bases)
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%dp torus system: heap grew %.1f MB", procs, float64(growth)/(1<<20))
+	if growth >= limit {
+		t.Errorf("building a %dp torus system grew the heap by %.1f MB, want under %d MB",
+			procs, float64(growth)/(1<<20), limit>>20)
 	}
 }

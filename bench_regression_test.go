@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"tokencoherence/internal/engine"
 	"tokencoherence/internal/harness"
 )
 
@@ -97,7 +98,7 @@ func TestBenchmarkRegression(t *testing.T) {
 			}
 			pt := benchPoint(proto, topo, "oltp", 1)
 			allocs, bytes := allocsPerRun(func() {
-				if _, err := harness.Run(pt); err != nil {
+				if _, _, err := engine.RunPointObserved(pt, nil); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -155,7 +156,7 @@ func TestBenchmarkRegressionParallel(t *testing.T) {
 			pt.Warmup = 600
 			pt.Islands = islands
 			allocs := testing.AllocsPerRun(1, func() {
-				if _, err := harness.Run(pt); err != nil {
+				if _, _, err := engine.RunPointObserved(pt, nil); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -166,7 +166,7 @@ func BenchmarkAblationTokenCount(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pt := benchPoint(harness.ProtoTokenB, harness.TopoTorus, "oltp", 1)
 				pt.Mutate = func(c *machine.Config) { c.TokensPerBlock = tokens }
-				run, err := harness.Run(pt)
+				run, _, err := engine.RunPointObserved(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -200,7 +200,7 @@ func BenchmarkAblationReissuePolicy(b *testing.B) {
 					cfg.MaxReissues = c.maxReissues
 					cfg.BackoffFactor = c.factor
 				}
-				run, err := harness.Run(pt)
+				run, _, err := engine.RunPointObserved(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -223,7 +223,7 @@ func BenchmarkAblationMigratory(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pt := benchPoint(harness.ProtoTokenB, harness.TopoTorus, "oltp", 1)
 				pt.Mutate = func(c *machine.Config) { c.Migratory = enabled }
-				run, err := harness.Run(pt)
+				run, _, err := engine.RunPointObserved(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -243,7 +243,7 @@ func BenchmarkAblationProcessorMLP(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pt := benchPoint(harness.ProtoTokenB, harness.TopoTorus, "apache", 1)
 				pt.Mutate = func(c *machine.Config) { c.MaxLoads = loads }
-				run, err := harness.Run(pt)
+				run, _, err := engine.RunPointObserved(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -260,7 +260,7 @@ func BenchmarkAblationPerformancePolicy(b *testing.B) {
 		proto := proto
 		b.Run(proto, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				run, err := harness.Run(benchPoint(proto, harness.TopoTorus, "specjbb", 1))
+				run, _, err := engine.RunPointObserved(benchPoint(proto, harness.TopoTorus, "specjbb", 1), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -333,7 +333,7 @@ func BenchmarkSimulatePoint(b *testing.B) {
 		b.Run(c.proto, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				run, err := harness.Run(benchPoint(c.proto, c.topo, "oltp", 1))
+				run, _, err := engine.RunPointObserved(benchPoint(c.proto, c.topo, "oltp", 1), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -363,7 +363,7 @@ func BenchmarkSimulatePointIslands(b *testing.B) {
 			pt.Warmup = 600
 			pt.Islands = islands
 			for i := 0; i < b.N; i++ {
-				run, err := harness.Run(pt)
+				run, _, err := engine.RunPointObserved(pt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -398,7 +398,7 @@ func BenchmarkUniformTokenB(b *testing.B) {
 			Gen: workload.NewUniform(1024, 0.3, 6*sim.Nanosecond, 16),
 			Ops: 2000, Warmup: 0, Seed: 1,
 		}
-		run, err := harness.Run(pt)
+		run, _, err := engine.RunPointObserved(pt, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

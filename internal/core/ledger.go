@@ -22,10 +22,16 @@ type Ledger struct {
 	// depend on island interleaving.
 	mu sync.Mutex
 
-	inflight      map[msg.Block]int
-	inflightOwner map[msg.Block]int
-	initialized   map[msg.Block]bool
-	errs          []error
+	blocks map[msg.Block]tokenCount
+	errs   []error
+}
+
+// tokenCount is the ledger's view of one block: whether its tokens
+// exist, and the tokens and owner tokens sent but not yet received.
+type tokenCount struct {
+	initialized   bool
+	inflight      int
+	inflightOwner int
 }
 
 // NewLedger builds a ledger for T tokens per block.
@@ -34,10 +40,8 @@ func NewLedger(t int) *Ledger {
 		panic("core: token count must be positive")
 	}
 	return &Ledger{
-		T:             t,
-		inflight:      make(map[msg.Block]int),
-		inflightOwner: make(map[msg.Block]int),
-		initialized:   make(map[msg.Block]bool),
+		T:      t,
+		blocks: make(map[msg.Block]tokenCount),
 	}
 }
 
@@ -52,18 +56,20 @@ func (l *Ledger) fail(format string, args ...any) {
 func (l *Ledger) InitBlock(b msg.Block) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.initialized[b] {
+	c := l.blocks[b]
+	if c.initialized {
 		l.fail("block %d initialized twice", b)
 		return
 	}
-	l.initialized[b] = true
+	c.initialized = true
+	l.blocks[b] = c
 }
 
 // Initialized reports whether the block's tokens exist yet.
 func (l *Ledger) Initialized(b msg.Block) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.initialized[b]
+	return l.blocks[b].initialized
 }
 
 // Sent records tokens leaving a component in a message. It checks
@@ -71,24 +77,26 @@ func (l *Ledger) Initialized(b msg.Block) bool {
 func (l *Ledger) Sent(b msg.Block, tokens int, owner, hasData bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	c := l.blocks[b]
 	switch {
 	case tokens <= 0:
 		l.fail("block %d: sent message with %d tokens", b, tokens)
 		return
 	case owner && !hasData:
 		l.fail("block %d: owner token sent without data (invariant #4')", b)
-	case !l.initialized[b]:
+	case !c.initialized:
 		l.fail("block %d: tokens sent before initialization", b)
 	case tokens > l.T:
 		l.fail("block %d: sent %d tokens, more than T=%d", b, tokens, l.T)
 	}
-	l.inflight[b] += tokens
+	c.inflight += tokens
 	if owner {
-		l.inflightOwner[b]++
-		if l.inflightOwner[b] > 1 {
+		c.inflightOwner++
+		if c.inflightOwner > 1 {
 			l.fail("block %d: two owner tokens in flight", b)
 		}
 	}
+	l.blocks[b] = c
 }
 
 // Received records tokens arriving at a component.
@@ -99,30 +107,34 @@ func (l *Ledger) Received(b msg.Block, tokens int, owner bool) {
 		l.fail("block %d: received message with %d tokens", b, tokens)
 		return
 	}
-	l.inflight[b] -= tokens
-	if l.inflight[b] < 0 {
-		l.fail("block %d: more tokens received than sent (in-flight %d)", b, l.inflight[b])
+	c := l.blocks[b]
+	c.inflight -= tokens
+	if c.inflight < 0 {
+		l.fail("block %d: more tokens received than sent (in-flight %d)", b, c.inflight)
 	}
 	if owner {
-		l.inflightOwner[b]--
-		if l.inflightOwner[b] < 0 {
+		c.inflightOwner--
+		if c.inflightOwner < 0 {
 			l.fail("block %d: owner token received but not in flight", b)
 		}
 	}
+	l.blocks[b] = c
 }
 
 // InFlight reports tokens currently in transit for b.
 func (l *Ledger) InFlight(b msg.Block) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.inflight[b]
+	return l.blocks[b].inflight
 }
 
 // Blocks returns every initialized block (order unspecified).
 func (l *Ledger) Blocks() []msg.Block {
-	out := make([]msg.Block, 0, len(l.initialized))
-	for b := range l.initialized {
-		out = append(out, b)
+	out := make([]msg.Block, 0, len(l.blocks))
+	for b, c := range l.blocks {
+		if c.initialized {
+			out = append(out, b)
+		}
 	}
 	return out
 }
@@ -130,17 +142,18 @@ func (l *Ledger) Blocks() []msg.Block {
 // CheckConservation verifies invariant #1' for block b given the total
 // tokens and owner count held by all components.
 func (l *Ledger) CheckConservation(b msg.Block, held, owners int) {
-	if !l.initialized[b] {
-		if held != 0 || l.inflight[b] != 0 {
+	c := l.blocks[b]
+	if !c.initialized {
+		if held != 0 || c.inflight != 0 {
 			l.fail("block %d: tokens exist without initialization", b)
 		}
 		return
 	}
-	if total := held + l.inflight[b]; total != l.T {
+	if total := held + c.inflight; total != l.T {
 		l.fail("block %d: %d tokens held + %d in flight = %d, want T=%d",
-			b, held, l.inflight[b], total, l.T)
+			b, held, c.inflight, total, l.T)
 	}
-	if total := owners + l.inflightOwner[b]; total != 1 {
+	if total := owners + c.inflightOwner; total != 1 {
 		l.fail("block %d: %d owner tokens (held+flight), want exactly 1", b, total)
 	}
 }

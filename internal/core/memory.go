@@ -11,15 +11,22 @@ import (
 // trailingZeros64 is a tiny alias keeping the redirect loop readable.
 func trailingZeros64(v uint64) int { return bits.TrailingZeros64(v) }
 
-// memLine is the home memory's token state for one block. The paper
-// stores it in ECC bits (valid bit, owner bit, token count: 2+log2(T)
-// bits per block); we model the state, not the encoding.
+// memLine is the home memory's state for one block. The token state is
+// what the paper stores in ECC bits (valid bit, owner bit, token count:
+// 2+log2(T) bits per block); we model the state, not the encoding.
 type memLine struct {
 	tokens int
+	data   uint64
 	owner  bool
 	valid  bool
-	data   uint64
 	dirty  bool
+
+	// persistent marks an active persistent request for the block; its
+	// tokens are pledged to starver.
+	persistent bool
+	starver    msg.Port
+	// hint is the soft-state directory entry (TokenD/TokenM only).
+	hint hintLine
 }
 
 // Memory is the Token Coherence home memory controller for one node's
@@ -35,12 +42,10 @@ type Memory struct {
 	id     msg.NodeID
 	ledger *Ledger
 	lines  map[msg.Block]*memLine
-	// persist tracks active persistent requests (block -> starver).
-	persist map[msg.Block]msg.Port
-	// hints, when enabled (TokenD/TokenM), holds soft-state directory
-	// hints: a probable owner and probable sharers per block. Hints may
-	// be stale; a bad redirect only delays a transient request.
-	hints map[msg.Block]*hintLine
+	// hints, when enabled (TokenD/TokenM), turns on the soft-state
+	// directory: a probable owner and probable sharers per block. Hints
+	// may be stale; a bad redirect only delays a transient request.
+	hints bool
 }
 
 // hintLine is the soft-state directory entry for one block.
@@ -54,12 +59,11 @@ type hintLine struct {
 // it on the network.
 func NewMemory(sys *machine.System, id msg.NodeID, ledger *Ledger) *Memory {
 	m := &Memory{
-		sys:     sys,
-		isle:    sys.IsleFor(int(id)),
-		id:      id,
-		ledger:  ledger,
-		lines:   make(map[msg.Block]*memLine),
-		persist: make(map[msg.Block]msg.Port),
+		sys:    sys,
+		isle:   sys.IsleFor(int(id)),
+		id:     id,
+		ledger: ledger,
+		lines:  make(map[msg.Block]*memLine),
 	}
 	sys.Net.Register(m.Port(), m)
 	return m
@@ -70,7 +74,8 @@ func (m *Memory) Port() msg.Port { return msg.Port{Node: m.id, Unit: msg.UnitMem
 
 // line returns the state for b, lazily creating it with all T tokens
 // (system initialization: "the block's home memory module holds all
-// tokens").
+// tokens"). It is the only place a line is created, so every line's
+// tokens were initialized through the ledger exactly once.
 func (m *Memory) line(b msg.Block) *memLine {
 	if l, ok := m.lines[b]; ok {
 		return l
@@ -132,27 +137,15 @@ func (m *Memory) respond(to msg.Port, b msg.Block, tokens int, owner bool, data 
 
 // EnableHints turns on the soft-state redirect directory (TokenD and
 // TokenM memories).
-func (m *Memory) EnableHints() {
-	m.hints = make(map[msg.Block]*hintLine)
-}
-
-func (m *Memory) hint(b msg.Block) *hintLine {
-	h, ok := m.hints[b]
-	if !ok {
-		h = &hintLine{}
-		m.hints[b] = h
-	}
-	return h
-}
+func (m *Memory) EnableHints() { m.hints = true }
 
 // redirect forwards a transient request towards probable token holders
-// and updates the soft state. Hints can go stale (a migratory GetS moves
-// ownership without the home seeing it), so a reissued request is
+// and updates the soft state h. Hints can go stale (a migratory GetS
+// moves ownership without the home seeing it), so a reissued request is
 // forwarded to every node: the second attempt always reaches the real
 // holders, keeping escalation to persistent requests rare.
-func (m *Memory) redirect(mm *msg.Message, served bool) {
+func (m *Memory) redirect(mm *msg.Message, h *hintLine, served bool) {
 	b := msg.BlockOf(mm.Addr)
-	h := m.hint(b)
 	reqNode := mm.Requester.Node
 	var targets []msg.Port
 	addTarget := func(n msg.NodeID) {
@@ -208,13 +201,13 @@ func (m *Memory) redirect(mm *msg.Message, served bool) {
 
 func (m *Memory) handleTransient(mm *msg.Message) {
 	b := msg.BlockOf(mm.Addr)
-	if _, active := m.persist[b]; active {
+	l := m.line(b)
+	if l.persistent {
 		return // tokens are pledged to the persistent requester
 	}
-	l := m.line(b)
-	if m.hints != nil {
+	if m.hints {
 		served := l.owner && l.tokens > 0
-		defer m.redirect(mm, served)
+		defer m.redirect(mm, &l.hint, served)
 	}
 	if l.tokens == 0 {
 		return
@@ -255,13 +248,14 @@ func (m *Memory) handleTransient(mm *msg.Message) {
 func (m *Memory) receiveTokens(mm *msg.Message) {
 	b := msg.BlockOf(mm.Addr)
 	m.ledger.Received(b, mm.Tokens, mm.Owner)
-	if starver, active := m.persist[b]; active {
+	l := m.line(b)
+	if l.persistent {
 		// Forward everything to the starving processor, per the
 		// persistent-request rules.
 		m.ledger.Sent(b, mm.Tokens, mm.Owner, mm.HasData)
 		fwd := m.isle.Net.CloneMessage(mm)
 		fwd.Src = m.Port()
-		fwd.Dst = starver
+		fwd.Dst = l.starver
 		fwd.Cat = msg.CatControl
 		if fwd.HasData {
 			fwd.Cat = msg.CatData
@@ -269,13 +263,10 @@ func (m *Memory) receiveTokens(mm *msg.Message) {
 		m.isle.Net.SendAfter(fwd, m.sys.Cfg.CtrlLatency)
 		return
 	}
-	l := m.line(b)
 	l.tokens += mm.Tokens
 	if mm.Owner {
 		l.owner = true
-		if m.hints != nil {
-			m.hint(b).hasOwner = false // the memory owns again
-		}
+		l.hint.hasOwner = false // the memory owns again
 	}
 	if mm.HasData {
 		l.valid = true
@@ -289,12 +280,13 @@ func (m *Memory) receiveTokens(mm *msg.Message) {
 
 func (m *Memory) handleActivate(mm *msg.Message) {
 	b := msg.BlockOf(mm.Addr)
-	m.persist[b] = mm.Requester
 	// Flush current tokens to the starver. The line is created lazily
 	// here too: a persistent request may be the block's first-ever
 	// coherence activity (e.g., under a performance protocol that sends
 	// no transient requests at all).
-	if l := m.line(b); l.tokens > 0 {
+	l := m.line(b)
+	l.persistent, l.starver = true, mm.Requester
+	if l.tokens > 0 {
 		m.respond(mm.Requester, b, l.tokens, l.owner, l.data, l.dirty, m.sys.Cfg.CtrlLatency+m.sys.Cfg.MemLatency)
 		l.tokens, l.owner, l.valid, l.dirty = 0, false, false, false
 	}
@@ -302,7 +294,10 @@ func (m *Memory) handleActivate(mm *msg.Message) {
 }
 
 func (m *Memory) handleDeactivate(mm *msg.Message) {
-	delete(m.persist, msg.BlockOf(mm.Addr))
+	// A lookup, not line(): a deactivation must not create tokens.
+	if l := m.lines[msg.BlockOf(mm.Addr)]; l != nil {
+		l.persistent, l.starver = false, msg.Port{}
+	}
 	m.ack(mm, msg.KindPersistentDeactivateAck)
 }
 

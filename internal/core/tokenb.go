@@ -28,22 +28,41 @@ type TokenB struct {
 	reissues  *stats.Counter
 	tokenMsgs *stats.Counter
 
-	// persist maps blocks with an active persistent request to the
-	// starving processor's port (the node's hardware table).
-	persist map[msg.Block]msg.Port
-	// mineActive records, per block, the epoch of our own active
-	// persistent request (0 = none). Epochs disambiguate a fresh request
-	// from the tail of an earlier request's deactivation cycle.
-	mineActive map[msg.Block]uint64
-	// starving maps blocks to the MSHR that invoked a persistent request
-	// (and its epoch) so satisfaction can be matched to deactivation.
-	starving    map[msg.Block]*machine.MSHR
-	starvingSeq map[msg.Block]uint64
-	persistSeq  uint64
+	// persist is the node's persistent-request table, one entry per
+	// block with any persistent-request state; an entry is deleted as
+	// soon as it is empty.
+	persist    map[msg.Block]persistEntry
+	persistSeq uint64
 
 	// dsts is the transient-request destination scratch buffer, reused
 	// across broadcasts (Multicast copies what it keeps).
 	dsts []msg.Port
+}
+
+// persistEntry is one block's persistent-request state at a cache.
+type persistEntry struct {
+	// active marks an active persistent request; tokens for the block
+	// go to starver.
+	active  bool
+	starver msg.Port
+	// mineActive is the epoch of our own active persistent request
+	// (0 = none). Epochs disambiguate a fresh request from the tail of
+	// an earlier request's deactivation cycle.
+	mineActive uint64
+	// starving is the MSHR that invoked our latest persistent request,
+	// and starvingSeq its epoch, so satisfaction can be matched to
+	// deactivation.
+	starving    *machine.MSHR
+	starvingSeq uint64
+}
+
+// setPersist stores b's entry, deleting it when it is empty.
+func (c *TokenB) setPersist(b msg.Block, e persistEntry) {
+	if e == (persistEntry{}) {
+		delete(c.persist, b)
+		return
+	}
+	c.persist[b] = e
 }
 
 // NewTokenB builds node id's TokenB controller and registers it on the
@@ -56,12 +75,9 @@ func NewTokenB(sys *machine.System, id msg.NodeID, ledger *Ledger) *TokenB {
 // arbitrary transient-request policy (TokenB, TokenD, TokenM, ...).
 func NewTokenController(sys *machine.System, id msg.NodeID, ledger *Ledger, policy Policy) *TokenB {
 	c := &TokenB{
-		ledger:      ledger,
-		policy:      policy,
-		persist:     make(map[msg.Block]msg.Port),
-		mineActive:  make(map[msg.Block]uint64),
-		starving:    make(map[msg.Block]*machine.MSHR),
-		starvingSeq: make(map[msg.Block]uint64),
+		ledger:  ledger,
+		policy:  policy,
+		persist: make(map[msg.Block]persistEntry),
 	}
 	c.InitBase(sys, id, c)
 	c.reissues = sys.Metrics.Counter(stats.Desc{
@@ -155,8 +171,9 @@ func (c *TokenB) onTimeout(m *machine.MSHR) {
 func (c *TokenB) goPersistent(m *machine.MSHR) {
 	m.Persistent = true
 	c.persistSeq++
-	c.starving[m.Block] = m
-	c.starvingSeq[m.Block] = c.persistSeq
+	e := c.persist[m.Block]
+	e.starving, e.starvingSeq = m, c.persistSeq
+	c.persist[m.Block] = e
 	out := c.Net.NewMessage()
 	*out = msg.Message{
 		Kind: msg.KindPersistentReq, Cat: msg.CatReissue,
@@ -176,8 +193,8 @@ func (c *TokenB) EvictL2(v cache.Line) {
 		return // tag-only line (miss in progress); nothing to write back
 	}
 	dst := c.HomePort(v.Block)
-	if starver, active := c.persist[v.Block]; active && starver != c.CachePort() {
-		dst = starver
+	if e := c.persist[v.Block]; e.active && e.starver != c.CachePort() {
+		dst = e.starver
 	}
 	c.sendTokens(dst, v.Block, v.Tokens, v.Owner, v.Owner, v.Data, v.Dirty, 0)
 }
@@ -228,7 +245,7 @@ func (c *TokenB) Handle(m *msg.Message) {
 // requests cannot double-send tokens.
 func (c *TokenB) handleTransient(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	if _, active := c.persist[b]; active {
+	if c.persist[b].active {
 		return // active persistent request overrides the policy
 	}
 	l := c.L2.Lookup(b)
@@ -283,10 +300,10 @@ func (c *TokenB) receiveTokens(m *msg.Message) {
 		o.OnTokensTransferred(int(c.ID), b, m.Tokens, c.K.Now())
 	}
 	c.policy.Observe(c, m)
-	if starver, active := c.persist[b]; active && starver != c.CachePort() {
+	if e := c.persist[b]; e.active && e.starver != c.CachePort() {
 		// Tokens arriving while another node's persistent request is
 		// active are forwarded to the starver, present and future alike.
-		c.forwardTokens(starver, m)
+		c.forwardTokens(e.starver, m)
 		return
 	}
 	mshr := c.Outstanding[b]
@@ -350,10 +367,13 @@ func (c *TokenB) completeTokenMiss(m *machine.MSHR) {
 	// Deactivate only when OUR epoch is the one currently active; if the
 	// activation has not arrived yet (or an older epoch is still
 	// draining), the deactivation is sent when the activation shows up.
-	if m.Persistent && c.starving[b] == m && c.mineActive[b] == c.starvingSeq[b] && c.mineActive[b] != 0 {
+	if !m.Persistent {
+		return
+	}
+	if e := c.persist[b]; e.starving == m && e.mineActive == e.starvingSeq && e.mineActive != 0 {
 		c.sendDeactivate(b)
-		delete(c.starving, b)
-		delete(c.starvingSeq, b)
+		e.starving, e.starvingSeq = nil, 0
+		c.setPersist(b, e)
 	}
 }
 
@@ -370,21 +390,21 @@ func (c *TokenB) sendDeactivate(b msg.Block) {
 
 func (c *TokenB) handleActivate(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	c.persist[b] = m.Requester
+	e := c.persist[b]
+	e.active, e.starver = true, m.Requester
 	if m.Requester == c.CachePort() {
 		epoch := uint64(m.Acks)
-		c.mineActive[b] = epoch
-		sm := c.starving[b]
+		e.mineActive = epoch
+		sm := e.starving
 		switch {
-		case sm != nil && c.starvingSeq[b] == epoch && c.Outstanding[b] == sm:
+		case sm != nil && e.starvingSeq == epoch && c.Outstanding[b] == sm:
 			// Our starving miss is still outstanding; tokens will flow
 			// and completion will deactivate.
-		case sm != nil && c.starvingSeq[b] == epoch:
+		case sm != nil && e.starvingSeq == epoch:
 			// The starving miss was satisfied by a late transient
 			// response before activation; deactivate immediately.
 			c.sendDeactivate(b)
-			delete(c.starving, b)
-			delete(c.starvingSeq, b)
+			e.starving, e.starvingSeq = nil, 0
 		default:
 			// Activation of an older epoch whose miss resolved (and whose
 			// bookkeeping was superseded by a newer request): release it.
@@ -396,15 +416,18 @@ func (c *TokenB) handleActivate(m *msg.Message) {
 		c.sendTokens(m.Requester, b, l.Tokens, l.Owner, l.Owner, l.Data, l.Dirty, c.Cfg.L2Latency)
 		c.dropLine(b)
 	}
+	c.persist[b] = e
 	c.ackArbiter(m, msg.KindPersistentActivateAck)
 }
 
 func (c *TokenB) handleDeactivate(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	delete(c.persist, b)
-	if m.Requester == c.CachePort() && c.mineActive[b] == uint64(m.Acks) {
-		delete(c.mineActive, b)
+	e := c.persist[b]
+	e.active, e.starver = false, msg.Port{}
+	if m.Requester == c.CachePort() && e.mineActive == uint64(m.Acks) {
+		e.mineActive = 0
 	}
+	c.setPersist(b, e)
 	c.ackArbiter(m, msg.KindPersistentDeactivateAck)
 }
 

@@ -275,6 +275,23 @@ func TestPersistentRequestEscalation(t *testing.T) {
 	if got := sys.Oracle.Latest(msg.BlockOf(addr)); got != 8 {
 		t.Errorf("final version = %d, want 8 (all writes committed)", got)
 	}
+	// Every persistent request was deactivated and every token delivered:
+	// no per-block persistent-request state may outlive the drain.
+	for i, c := range ts.Caches {
+		for b, e := range c.persist {
+			t.Errorf("cache %d keeps a persistent-request entry for block %d after the drain: %+v", i, b, e)
+		}
+	}
+	for i, m := range ts.Mems {
+		for b, l := range m.lines {
+			if l.persistent {
+				t.Errorf("memory %d keeps block %d's persistent request (starver %v) after the drain", i, b, l.starver)
+			}
+		}
+	}
+	if n := ts.Ledger.InFlight(msg.BlockOf(addr)); n != 0 {
+		t.Errorf("%d tokens still in flight after the drain", n)
+	}
 }
 
 func TestUpgradeFromSharedToModified(t *testing.T) {

@@ -28,42 +28,19 @@ const (
 	stateM
 )
 
-// wbEntry holds an evicted owner line until the home acknowledges the
-// writeback (WBAck) or declares it stale (WBStale). A block can have
-// several pending entries when ownership is lost and re-acquired while
-// writebacks are in flight; they resolve in FIFO order.
-type wbEntry struct {
-	data    uint64
-	dirty   bool
-	owner   bool
-	written bool
-	// epoch is the home transaction that made this node owner of the
-	// evicted copy; the home accepts the writeback only if it matches.
-	epoch uint64
-}
-
 // Cache is the directory protocol's cache controller.
 type Cache struct {
 	machine.CacheBase
-	wb       map[msg.Block][]*wbEntry
-	deferred map[msg.Block][]*msg.Message
-	// invAfterFill records, per block being filled, the newest home
-	// transaction number of an invalidation that overtook the fill; the
-	// fill is consumed once and then invalidated if it is older.
-	invAfterFill map[msg.Block]uint64
-	// pendingAcks buffers invalidation acks that arrive before the data
-	// response reveals the transaction they belong to.
-	pendingAcks map[msg.Block][]uint64
+	// wb holds evicted owner lines until the home acknowledges the
+	// writeback (WBAck) or declares it stale (WBStale). Each entry's
+	// Epoch is the home transaction that made this node owner of the
+	// evicted copy; the home accepts the writeback only if it matches.
+	wb machine.WritebackBuffer
 }
 
 // NewCache builds node id's directory cache controller.
 func NewCache(sys *machine.System, id msg.NodeID) *Cache {
-	c := &Cache{
-		wb:           make(map[msg.Block][]*wbEntry),
-		deferred:     make(map[msg.Block][]*msg.Message),
-		invAfterFill: make(map[msg.Block]uint64),
-		pendingAcks:  make(map[msg.Block][]uint64),
-	}
+	c := &Cache{}
 	c.InitBase(sys, id, c)
 	sys.Net.Register(c.CachePort(), c)
 	return c
@@ -102,14 +79,7 @@ func (c *Cache) EvictL2(v cache.Line) {
 	if v.State != stateM && v.State != stateO {
 		return // shared lines evict silently; the directory list stays a superset
 	}
-	for _, e := range c.wb[v.Block] {
-		if e.owner {
-			panic("directory: evicting while an older writeback still owns the block")
-		}
-	}
-	c.wb[v.Block] = append(c.wb[v.Block], &wbEntry{
-		data: v.Data, dirty: v.Dirty, owner: true, written: v.Written, epoch: v.Epoch,
-	})
+	c.wb.Push(v.Block, machine.WBEntry{Data: v.Data, Dirty: v.Dirty, Written: v.Written, Epoch: v.Epoch})
 	out := c.Net.NewMessage()
 	*out = msg.Message{
 		Kind: msg.KindPutM, Cat: msg.CatData,
@@ -165,13 +135,12 @@ func (c *Cache) onData(m *msg.Message) {
 // absorbPendingAcks counts buffered early acks that match the fill's
 // transaction and discards the rest (aborted transactions).
 func (c *Cache) absorbPendingAcks(mshr *machine.MSHR) {
-	b := mshr.Block
-	for _, seq := range c.pendingAcks[b] {
+	for _, seq := range mshr.EarlyAcks {
 		if seq == mshr.Fill.Seq {
 			mshr.AcksGot++
 		}
 	}
-	delete(c.pendingAcks, b)
+	mshr.EarlyAcks = nil
 }
 
 func (c *Cache) onInvAck(m *msg.Message) {
@@ -183,7 +152,7 @@ func (c *Cache) onInvAck(m *msg.Message) {
 		return
 	}
 	if !mshr.GotData {
-		c.pendingAcks[b] = append(c.pendingAcks[b], m.Seq)
+		mshr.EarlyAcks = append(mshr.EarlyAcks, m.Seq)
 		return
 	}
 	if m.Seq == mshr.Fill.Seq {
@@ -206,17 +175,17 @@ func (c *Cache) onGrant(m *msg.Message) {
 		// to the writeback buffer, whose data is still the current copy
 		// (the grant proves no other transaction intervened). Refill from
 		// it; the in-flight PutM will be declared stale by its epoch.
-		e := c.ownerWB(b)
+		e := c.wb.Owner(b)
 		if e == nil {
 			panic("directory: grant with neither line nor owned writeback")
 		}
 		l = c.EnsureL2(b)
 		l.Valid = true
-		l.Data = e.data
-		l.Dirty = e.dirty
-		l.Written = e.written
+		l.Data = e.Data
+		l.Dirty = e.Dirty
+		l.Written = e.Written
 		l.State = stateO
-		e.owner = false
+		e.Owner = false
 	}
 	mshr.GotData = true
 	mshr.Grant = true
@@ -264,8 +233,8 @@ func (c *Cache) maybeComplete(m *machine.MSHR) {
 	}
 	c.CompleteMiss(m)
 	// Drain requests the directory forwarded to us while we were filling.
-	defs := c.deferred[b]
-	delete(c.deferred, b)
+	defs := m.Deferred
+	m.Deferred = nil
 	for _, d := range defs {
 		c.serveFwd(d, b)
 		c.Net.FreeMessage(d)
@@ -273,8 +242,7 @@ func (c *Cache) maybeComplete(m *machine.MSHR) {
 	// An invalidation from a home transaction newer than this fill
 	// overtook the data; the fill satisfied the waiting accesses once
 	// and dies here.
-	if invSeq, pending := c.invAfterFill[b]; pending {
-		delete(c.invAfterFill, b)
+	if invSeq := m.InvAfterFill; invSeq != 0 {
 		if l := c.L2.Lookup(b); l != nil && invSeq > l.Epoch {
 			c.dropLine(b)
 		}
@@ -300,11 +268,11 @@ func (c *Cache) onInv(m *msg.Message) {
 		if m.Seq > l.Epoch {
 			c.dropLine(b)
 		}
-	} else if _, outstanding := c.Outstanding[b]; outstanding {
+	} else if mshr := c.Outstanding[b]; mshr != nil {
 		// Fill in flight: remember the invalidation; the fill may satisfy
 		// the waiting accesses once if it is newer, then die.
-		if m.Seq > c.invAfterFill[b] {
-			c.invAfterFill[b] = m.Seq
+		if m.Seq > mshr.InvAfterFill {
+			mshr.InvAfterFill = m.Seq
 		}
 	}
 	// Always acknowledge, directly to the requesting writer, echoing the
@@ -321,7 +289,7 @@ func (c *Cache) onFwd(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
 	// A writeback buffer entry answers first: its data is authoritative
 	// and deferring here would deadlock the home behind our queued PutM.
-	if c.ownerWB(b) != nil {
+	if c.wb.Owner(b) != nil {
 		c.serveFwd(m, b)
 		return
 	}
@@ -331,7 +299,7 @@ func (c *Cache) onFwd(m *msg.Message) {
 				// Our own transaction is ordered before this forward at
 				// the home; we are the owner-to-be, so serve it after
 				// completion (ownership chaining).
-				c.deferred[b] = append(c.deferred[b], m.Retain())
+				mshr.Deferred = append(mshr.Deferred, m.Retain())
 				return
 			}
 			c.serveFwd(m, b)
@@ -345,34 +313,22 @@ func (c *Cache) onFwd(m *msg.Message) {
 			return
 		}
 		// Our fill is still in flight; chain the forward to completion.
-		c.deferred[b] = append(c.deferred[b], m.Retain())
+		mshr.Deferred = append(mshr.Deferred, m.Retain())
 		return
 	}
 	c.serveFwd(m, b)
 }
 
-// ownerWB returns the writeback entry that still owns b, if any (at
-// most one entry can be the owner, and it is always the newest).
-func (c *Cache) ownerWB(b msg.Block) *wbEntry {
-	entries := c.wb[b]
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].owner {
-			return entries[i]
-		}
-	}
-	return nil
-}
-
 // serveFwd answers a forwarded request from stable state or the
 // writeback buffer.
 func (c *Cache) serveFwd(m *msg.Message, b msg.Block) {
-	if e := c.ownerWB(b); e != nil {
+	if e := c.wb.Owner(b); e != nil {
 		switch m.Kind {
 		case msg.KindFwdGetS:
-			c.respondData(m.Requester, b, e.data, false, false, 0, m.Seq)
+			c.respondData(m.Requester, b, e.Data, false, false, 0, m.Seq)
 		case msg.KindFwdGetM:
-			c.respondData(m.Requester, b, e.data, true, e.dirty, m.Acks, m.Seq)
-			e.owner = false
+			c.respondData(m.Requester, b, e.Data, true, e.Dirty, m.Acks, m.Seq)
+			e.Owner = false
 		}
 		return
 	}
@@ -406,22 +362,11 @@ func (c *Cache) respondData(to msg.Port, b msg.Block, data uint64, grantOwner, d
 	c.Net.SendAfter(out, c.Cfg.L2Latency)
 }
 
-func (c *Cache) onWBAck(m *msg.Message) { c.popWB(msg.BlockOf(m.Addr)) }
+// WBAck and WBStale retire the oldest pending writeback (acks arrive in
+// PutM order).
+func (c *Cache) onWBAck(m *msg.Message) { c.wb.Pop(msg.BlockOf(m.Addr)) }
 
-func (c *Cache) onWBStale(m *msg.Message) { c.popWB(msg.BlockOf(m.Addr)) }
-
-// popWB retires the oldest pending writeback (acks arrive in PutM order).
-func (c *Cache) popWB(b msg.Block) {
-	entries := c.wb[b]
-	if len(entries) == 0 {
-		panic("directory: writeback ack with no pending writeback")
-	}
-	if len(entries) == 1 {
-		delete(c.wb, b)
-	} else {
-		c.wb[b] = entries[1:]
-	}
-}
+func (c *Cache) onWBStale(m *msg.Message) { c.wb.Pop(msg.BlockOf(m.Addr)) }
 
 func (c *Cache) dropLine(b msg.Block) {
 	c.L2.Remove(b)

@@ -8,7 +8,6 @@ import (
 
 	"tokencoherence/internal/engine"
 	"tokencoherence/internal/machine"
-	"tokencoherence/internal/msg"
 	"tokencoherence/internal/trace"
 )
 
@@ -20,8 +19,6 @@ import (
 // contract is that all three are byte-identical at any island count.
 func islandOutputs(t *testing.T, pt engine.Point, islands int, hops bool) (jsonl, traceJSON, dump []byte) {
 	t.Helper()
-	msg.PoolPoison = true
-	defer func() { msg.PoolPoison = false }()
 
 	pt.Islands = islands
 	tr := trace.NewTracer(trace.TracerConfig{Hops: hops})
@@ -127,14 +124,14 @@ func TestIslandMetricsAllProtocols(t *testing.T) {
 			t.Parallel()
 			base := engine.Point{Protocol: proto,
 				Workload: "apache", Procs: 16, Ops: 200, Warmup: 200, Seed: 1}
-			_, ref, err := engine.RunPointMetrics(base)
+			_, ref, err := engine.RunPointObserved(base, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, islands := range []int{2, 4} {
 				pt := base
 				pt.Islands = islands
-				_, snap, err := engine.RunPointMetrics(pt)
+				_, snap, err := engine.RunPointObserved(pt, nil)
 				if err != nil {
 					t.Fatalf("islands=%d: %v", islands, err)
 				}

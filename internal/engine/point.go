@@ -12,10 +12,10 @@
 // Points name their protocol, topology, and workload; the engine
 // resolves those names through internal/registry, so components
 // registered by users run exactly like the built-ins. Resolution happens
-// once per point — Point.Validate at plan-expansion time, then RunPoint
-// before constructing the machine — and never on the simulation hot
-// path. Unknown names fail early with the registered names in the
-// error.
+// once per point — Point.Validate at plan-expansion time, then
+// RunPointObserved before constructing the machine — and never on the
+// simulation hot path. Unknown names fail early with the registered
+// names in the error.
 package engine
 
 import (
@@ -102,8 +102,9 @@ type Point struct {
 // warmup operations (cold-cache measurement).
 const NoWarmup = -1
 
-// withDefaults fills the sizing fields RunPoint would otherwise default
-// internally, so expanded plan jobs report the values that actually ran.
+// withDefaults fills the sizing fields RunPointObserved would otherwise
+// default internally, so expanded plan jobs report the values that
+// actually ran.
 func (pt Point) withDefaults() Point {
 	if pt.Procs == 0 {
 		pt.Procs = 16
@@ -204,29 +205,19 @@ func (pt Point) Validate() error {
 	return err
 }
 
-// RunPoint executes one point and returns its statistics. Components are
-// resolved through the registry once, up front; protocols that declare
-// an audit (Token Coherence checks token conservation) are audited after
-// the run.
-func RunPoint(pt Point) (*stats.Run, error) {
-	run, _, err := RunPointMetrics(pt)
-	return run, err
-}
-
-// RunPointMetrics executes one point and additionally returns its metric
-// snapshot: every measurement the machine, interconnect, protocol, and
-// registered probes published, captured after the run (and after the
-// protocol audit, when one is declared). The snapshot is non-nil
-// whenever a simulation actually ran, even one that then failed.
-func RunPointMetrics(pt Point) (*stats.Run, *stats.Snapshot, error) {
-	return RunPointObserved(pt, nil)
-}
-
-// RunPointObserved is RunPointMetrics with a per-run attachment hook:
-// attach (if non-nil) is called with the fully assembled System — after
-// the protocol's controllers and the registered probes, before any
-// simulation — so callers can attach run-scoped observers such as a
-// transaction tracer. The engine routes its Attach hook here.
+// RunPointObserved executes one point and returns its statistics and
+// its metric snapshot: every measurement the machine, interconnect,
+// protocol, and registered probes published, captured after the run
+// (and after the protocol audit, when one is declared). The snapshot is
+// non-nil whenever a simulation actually ran, even one that then failed.
+//
+// Components are resolved through the registry once, up front;
+// protocols that declare an audit (Token Coherence checks token
+// conservation) are audited after the run. attach (if non-nil) is called
+// with the fully assembled System — after the protocol's controllers and
+// the registered probes, before any simulation — so callers can attach
+// run-scoped observers such as a transaction tracer. The engine routes
+// its Attach hook here.
 func RunPointObserved(pt Point, attach func(*machine.System)) (*stats.Run, *stats.Snapshot, error) {
 	pt = pt.withDefaults()
 	comps, err := pt.resolve()

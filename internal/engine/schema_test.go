@@ -123,9 +123,9 @@ func TestMetricSchemaColumnFormats(t *testing.T) {
 // TestMetricColumnsMatchRunFields verifies the by-name columns report
 // exactly what the Run struct's accessors report, for a real run.
 func TestMetricColumnsMatchRunFields(t *testing.T) {
-	run, snap, err := engine.RunPointMetrics(engine.Point{
+	run, snap, err := engine.RunPointObserved(engine.Point{
 		Protocol: "tokenb", Workload: "oltp", Procs: 4, Ops: 300, Warmup: 300, Seed: 7,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +159,9 @@ func TestMetricColumnsMatchRunFields(t *testing.T) {
 // TestColumnByNameResolution covers the -columns resolution order:
 // identity fields, then metrics, then mutation tags.
 func TestColumnByNameResolution(t *testing.T) {
-	run, snap, err := engine.RunPointMetrics(engine.Point{
+	run, snap, err := engine.RunPointObserved(engine.Point{
 		Protocol: "directory", Workload: "apache", Procs: 4, Ops: 200, Warmup: 200,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,24 +41,17 @@ const (
 	stateM
 )
 
-// wbEntry holds an evicted owner line until the home grants the
-// writeback slot.
-type wbEntry struct {
-	data    uint64
-	dirty   bool
-	owner   bool
-	written bool
-}
-
 // Cache is the Hammer cache controller.
 type Cache struct {
 	machine.CacheBase
-	wb map[msg.Block][]*wbEntry
+	// wb holds evicted owner lines until the home grants the writeback
+	// slot.
+	wb machine.WritebackBuffer
 }
 
 // NewCache builds node id's Hammer controller.
 func NewCache(sys *machine.System, id msg.NodeID) *Cache {
-	c := &Cache{wb: make(map[msg.Block][]*wbEntry)}
+	c := &Cache{}
 	c.InitBase(sys, id, c)
 	sys.Net.Register(c.CachePort(), c)
 	return c
@@ -96,31 +89,13 @@ func (c *Cache) EvictL2(v cache.Line) {
 	if v.State != stateM && v.State != stateO {
 		return
 	}
-	for _, e := range c.wb[v.Block] {
-		if e.owner {
-			panic("hammer: evicting while an older writeback still owns the block")
-		}
-	}
-	c.wb[v.Block] = append(c.wb[v.Block], &wbEntry{
-		data: v.Data, dirty: v.Dirty, owner: true, written: v.Written,
-	})
+	c.wb.Push(v.Block, machine.WBEntry{Data: v.Data, Dirty: v.Dirty, Written: v.Written})
 	out := c.Net.NewMessage()
 	*out = msg.Message{
 		Kind: msg.KindPutM, Cat: msg.CatControl,
 		Src: c.CachePort(), Dst: c.HomePort(v.Block), Addr: v.Block.Base(),
 	}
 	c.Net.Send(out)
-}
-
-// ownerWB returns the writeback entry that still owns b, if any.
-func (c *Cache) ownerWB(b msg.Block) *wbEntry {
-	entries := c.wb[b]
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].owner {
-			return entries[i]
-		}
-	}
-	return nil
 }
 
 // Handle implements interconnect.Handler.
@@ -142,12 +117,12 @@ func (c *Cache) Handle(m *msg.Message) {
 func (c *Cache) onProbe(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
 	exclusive := m.Owner // probe for a GetM
-	if e := c.ownerWB(b); e != nil {
+	if e := c.wb.Owner(b); e != nil {
 		if exclusive {
-			c.respond(m.Requester, b, msg.KindProbeData, e.data, true, e.dirty)
-			e.owner = false
+			c.respond(m.Requester, b, msg.KindProbeData, e.Data, true, e.Dirty)
+			e.Owner = false
 		} else {
-			c.respond(m.Requester, b, msg.KindProbeData, e.data, false, false)
+			c.respond(m.Requester, b, msg.KindProbeData, e.Data, false, false)
 		}
 		return
 	}
@@ -223,10 +198,10 @@ func (c *Cache) onResponse(m *msg.Message) {
 	}
 	data, dirty, owner := fill.Data, fill.Dirty, fill.Owner
 	written := false
-	if e := c.ownerWB(b); e != nil {
+	if e := c.wb.Owner(b); e != nil {
 		// Our own evicted copy is the real owner copy (self-race).
-		data, dirty, owner, written = e.data, e.dirty, true, e.written
-		e.owner = false
+		data, dirty, owner, written = e.Data, e.Dirty, true, e.Written
+		e.Owner = false
 	}
 	l := c.EnsureL2(b)
 	l.Valid = true
@@ -260,22 +235,13 @@ func (c *Cache) setFill(mshr *machine.MSHR, m *msg.Message) {
 // onWBProceed supplies the writeback data (or cancels a stale one).
 func (c *Cache) onWBProceed(m *msg.Message) {
 	b := msg.BlockOf(m.Addr)
-	entries := c.wb[b]
-	if len(entries) == 0 {
-		panic("hammer: writeback grant with no pending writeback")
-	}
-	e := entries[0]
-	if len(entries) == 1 {
-		delete(c.wb, b)
-	} else {
-		c.wb[b] = entries[1:]
-	}
+	e := c.wb.Pop(b)
 	out := c.Net.NewMessage()
-	if e.owner {
+	if e.Owner {
 		*out = msg.Message{
 			Kind: msg.KindPutM, Cat: msg.CatData,
 			Src: c.CachePort(), Dst: c.HomePort(b), Addr: b.Base(),
-			HasData: true, Data: e.data, Dirty: e.dirty,
+			HasData: true, Data: e.Data, Dirty: e.Dirty,
 		}
 	} else {
 		*out = msg.Message{

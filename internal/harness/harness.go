@@ -17,7 +17,6 @@ package harness
 
 import (
 	"tokencoherence/internal/engine"
-	"tokencoherence/internal/stats"
 )
 
 // Protocol names.
@@ -46,15 +45,6 @@ type Point = engine.Point
 // NoWarmup requests an explicitly cold start (zero warmup operations)
 // where a zero Warmup would mean "unset, use the default".
 const NoWarmup = engine.NoWarmup
-
-// Run executes one point and returns its statistics. Token Coherence
-// points are additionally audited for token conservation.
-func Run(pt Point) (*stats.Run, error) { return engine.RunPoint(pt) }
-
-// RunMetrics executes one point and additionally returns its metric
-// snapshot — every named metric the machine, interconnect, protocol,
-// and registered probes published.
-func RunMetrics(pt Point) (*stats.Run, *stats.Snapshot, error) { return engine.RunPointMetrics(pt) }
 
 // Options tunes experiment size; the zero value gives quick defaults.
 type Options struct {

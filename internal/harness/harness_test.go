@@ -22,19 +22,19 @@ func testPoint(proto, topo, wl string) Point {
 }
 
 func TestRunRejectsUnknownProtocol(t *testing.T) {
-	if _, err := Run(Point{Protocol: "nope", Topo: TopoTorus, Workload: "oltp"}); err == nil {
+	if _, _, err := engine.RunPointObserved(Point{Protocol: "nope", Topo: TopoTorus, Workload: "oltp"}, nil); err == nil {
 		t.Error("unknown protocol not rejected")
 	}
 }
 
 func TestRunRejectsUnknownTopology(t *testing.T) {
-	if _, err := Run(Point{Protocol: ProtoTokenB, Topo: "ring", Workload: "oltp"}); err == nil {
+	if _, _, err := engine.RunPointObserved(Point{Protocol: ProtoTokenB, Topo: "ring", Workload: "oltp"}, nil); err == nil {
 		t.Error("unknown topology not rejected")
 	}
 }
 
 func TestRunRejectsUnknownWorkload(t *testing.T) {
-	if _, err := Run(Point{Protocol: ProtoTokenB, Topo: TopoTorus, Workload: "nope"}); err == nil {
+	if _, _, err := engine.RunPointObserved(Point{Protocol: ProtoTokenB, Topo: TopoTorus, Workload: "nope"}, nil); err == nil {
 		t.Error("unknown workload not rejected")
 	}
 }
@@ -56,7 +56,7 @@ func TestEveryProtocolRunsEveryWorkload(t *testing.T) {
 				pt := testPoint(p.proto, p.topo, wl)
 				pt.Ops = 600
 				pt.Warmup = 1500
-				run, err := Run(pt)
+				run, _, err := engine.RunPointObserved(pt, nil)
 				if err != nil {
 					t.Fatalf("run failed: %v", err)
 				}
@@ -76,7 +76,7 @@ func TestEveryProtocolRunsEveryWorkload(t *testing.T) {
 // same tree snooping is at least as fast as TokenB.
 func TestPaperShapeSnoopingVsTokenB(t *testing.T) {
 	cpt := func(proto, topo string) float64 {
-		run, err := Run(testPoint(proto, topo, "apache"))
+		run, _, err := engine.RunPointObserved(testPoint(proto, topo, "apache"), nil)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", proto, topo, err)
 		}
@@ -101,7 +101,7 @@ func TestPaperShapeSnoopingVsTokenB(t *testing.T) {
 func TestPaperShapeDirectoryAndHammer(t *testing.T) {
 	type res struct{ cpt, bpm float64 }
 	get := func(proto string) res {
-		run, err := Run(testPoint(proto, TopoTorus, "oltp"))
+		run, _, err := engine.RunPointObserved(testPoint(proto, TopoTorus, "oltp"), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
@@ -136,17 +136,17 @@ func TestPaperShapePerfectDirectory(t *testing.T) {
 		pt.Ops = 4800
 		return pt
 	}
-	dram, err := Run(point(ProtoDirectory))
+	dram, _, err := engine.RunPointObserved(point(ProtoDirectory), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perfect := point(ProtoDirectory)
 	perfect.PerfectDir = true
-	fast, err := Run(perfect)
+	fast, _, err := engine.RunPointObserved(perfect, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	token, err := Run(point(ProtoTokenB))
+	token, _, err := engine.RunPointObserved(point(ProtoTokenB), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +165,13 @@ func TestPaperShapePerfectDirectory(t *testing.T) {
 // (it has the most traffic).
 func TestPaperShapeUnlimitedBandwidth(t *testing.T) {
 	speedup := func(proto string) float64 {
-		lim, err := Run(testPoint(proto, TopoTorus, "apache"))
+		lim, _, err := engine.RunPointObserved(testPoint(proto, TopoTorus, "apache"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pt := testPoint(proto, TopoTorus, "apache")
 		pt.Unlimited = true
-		inf, err := Run(pt)
+		inf, _, err := engine.RunPointObserved(pt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,11 +342,11 @@ func TestRunExperimentUnknown(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	run1, err := Run(testPoint(ProtoTokenB, TopoTorus, "specjbb"))
+	run1, _, err := engine.RunPointObserved(testPoint(ProtoTokenB, TopoTorus, "specjbb"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run2, err := Run(testPoint(ProtoTokenB, TopoTorus, "specjbb"))
+	run2, _, err := engine.RunPointObserved(testPoint(ProtoTokenB, TopoTorus, "specjbb"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,12 +358,12 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestSeedsChangeResults(t *testing.T) {
 	pt := testPoint(ProtoTokenB, TopoTorus, "specjbb")
-	run1, err := Run(pt)
+	run1, _, err := engine.RunPointObserved(pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pt.Seed = 2
-	run2, err := Run(pt)
+	run2, _, err := engine.RunPointObserved(pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestCustomGeneratorAndMutate(t *testing.T) {
 			c.MSHRs = 4
 		},
 	}
-	if _, err := Run(pt); err != nil {
+	if _, _, err := engine.RunPointObserved(pt, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !mutated {

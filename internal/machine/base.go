@@ -37,31 +37,25 @@ type Controller interface {
 // MSHR tracks one outstanding coherence miss.
 type MSHR struct {
 	Block  msg.Block
-	Write  bool
 	Issued sim.Time
 	// Waiters re-execute their access when the miss resolves.
 	Waiters []func()
-
-	// Reissues counts transient-request reissues (Token Coherence).
-	Reissues int
-	// Persistent marks escalation to a persistent request.
-	Persistent bool
 	// Timer is the pending reissue/starvation timer, if any.
 	Timer *sim.Event
+	// Reissues counts transient-request reissues (Token Coherence).
+	Reissues int
 
+	// The flags sit together so that an MSHR, allocated per miss, packs
+	// without padding.
+	Write bool
+	// Persistent marks escalation to a persistent request.
+	Persistent bool
 	// Ordered marks that the request has reached its serialization point
 	// (its place in the snooping total order, or acceptance at the
 	// directory/home).
 	Ordered bool
-
-	// Generic transaction scratch space used by the directory and hammer
-	// protocols.
-	AcksNeeded int
-	AcksGot    int
-	GotData    bool
-	// Fill holds the data response until the transaction can commit
-	// (e.g., while invalidation acknowledgments are still outstanding).
-	Fill *msg.Message
+	// GotData marks that the data (or grant) response arrived.
+	GotData bool
 	// FillKept marks a Fill the protocol retained from the network's
 	// message pool (the fill arrived in an earlier handler call);
 	// CompleteMiss recycles it. A fill consumed within the handler that
@@ -70,6 +64,28 @@ type MSHR struct {
 	// Grant marks a dataless exclusivity grant (the requester upgrades
 	// its own resident copy instead of filling from Fill).
 	Grant bool
+
+	// Generic transaction scratch space used by the directory and hammer
+	// protocols.
+	AcksNeeded int
+	AcksGot    int
+	// Fill holds the data response until the transaction can commit
+	// (e.g., while invalidation acknowledgments are still outstanding).
+	Fill *msg.Message
+
+	// Deferred holds foreign requests ordered behind this miss (retained
+	// messages); the protocol serves them in order once the miss
+	// completes (ownership chaining in the directory and snooping
+	// protocols).
+	Deferred []*msg.Message
+	// EarlyAcks buffers the home transaction numbers of invalidation
+	// acks that arrived before the data response revealed which
+	// transaction they belong to (directory).
+	EarlyAcks []uint64
+	// InvAfterFill is the newest home transaction number of an
+	// invalidation that overtook the fill, 0 if none (directory): the
+	// fill satisfies the waiting accesses once and then dies if older.
+	InvAfterFill uint64
 }
 
 // CacheHooks is what a protocol supplies to specialize CacheBase.

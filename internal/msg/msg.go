@@ -305,11 +305,6 @@ type Pool struct {
 	free *Message
 }
 
-// PoolPoison, when set (by tests), scrambles messages as they are
-// recycled so that any use-after-free surfaces as loudly wrong values
-// instead of silently stale ones.
-var PoolPoison bool
-
 // Get returns a zeroed message from the pool, allocating if empty.
 func (p *Pool) Get() *Message {
 	m := p.free
@@ -322,17 +317,17 @@ func (p *Pool) Get() *Message {
 }
 
 // Put recycles a message. Putting the same message twice panics: it
-// always indicates an ownership bug.
+// always indicates an ownership bug. The message is poisoned on the way
+// in, so a use after free surfaces as loudly wrong values instead of
+// silently stale ones.
 func (p *Pool) Put(m *Message) {
 	if m.pooled {
 		panic("msg: message freed twice")
 	}
-	if PoolPoison {
-		*m = Message{
-			Kind: Kind(0xEE), Cat: Category(0xEE),
-			Addr: ^Addr(0), Tokens: -1 << 20, Acks: -1 << 20,
-			Data: ^uint64(0), Seq: ^uint64(0),
-		}
+	*m = Message{
+		Kind: Kind(0xEE), Cat: Category(0xEE),
+		Addr: ^Addr(0), Tokens: -1 << 20, Acks: -1 << 20,
+		Data: ^uint64(0), Seq: ^uint64(0),
 	}
 	m.pooled = true
 	m.retained = false

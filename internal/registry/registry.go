@@ -24,7 +24,7 @@
 //     builtin.go) and user registrations append after them. Experiment
 //     output that iterates Names is therefore reproducible byte for byte.
 //
-// Registry resolution happens once per simulation point (engine.RunPoint
+// Registry resolution happens once per simulation point (engine.RunPointObserved
 // resolves, then simulates); nothing on the discrete-event hot path ever
 // consults a registry.
 package registry

@@ -43,23 +43,13 @@ const (
 	stateM
 )
 
-// wbEntry holds an evicted owner line until its PutM broadcast is
-// ordered.
-type wbEntry struct {
-	data    uint64
-	dirty   bool
-	owner   bool // cleared if a foreign GetM is ordered first
-	written bool
-}
-
 // Cache is the snooping cache controller for one node.
 type Cache struct {
 	machine.CacheBase
-	// wb maps blocks awaiting writeback ordering.
-	wb map[msg.Block]*wbEntry
-	// deferred holds foreign requests ordered between this node's own
-	// ordered request and its data arrival.
-	deferred map[msg.Block][]*msg.Message
+	// wb holds evicted owner lines until their PutM broadcast is
+	// ordered, at most one per block; an entry's Owner is cleared if a
+	// foreign GetM is ordered first.
+	wb machine.WritebackBuffer
 	// dsts is the broadcast destination scratch buffer, reused across
 	// broadcasts (Multicast copies what it keeps).
 	dsts []msg.Port
@@ -70,10 +60,7 @@ type Cache struct {
 
 // NewCache builds node id's snooping controller and registers it.
 func NewCache(sys *machine.System, id msg.NodeID) *Cache {
-	c := &Cache{
-		wb:       make(map[msg.Block]*wbEntry),
-		deferred: make(map[msg.Block][]*msg.Message),
-	}
+	c := &Cache{}
 	c.InitBase(sys, id, c)
 	c.broadcasts = sys.Metrics.Counter(stats.Desc{
 		Name: "snoop_broadcasts", Unit: "count", Fmt: "%.0f",
@@ -127,10 +114,10 @@ func (c *Cache) EvictL2(v cache.Line) {
 	if v.State != stateM && v.State != stateO {
 		return
 	}
-	if _, dup := c.wb[v.Block]; dup {
+	if c.wb.Pending(v.Block) != 0 {
 		panic("snooping: evicted block already in writeback buffer")
 	}
-	c.wb[v.Block] = &wbEntry{data: v.Data, dirty: v.Dirty, owner: true, written: v.Written}
+	c.wb.Push(v.Block, machine.WBEntry{Data: v.Data, Dirty: v.Dirty, Written: v.Written})
 	c.broadcast(msg.KindPutM, v.Block)
 }
 
@@ -157,7 +144,7 @@ func (c *Cache) ordered(m *msg.Message) {
 		// This node's own ordered request precedes m; it may end up the
 		// owner (GetM, or a migratory GetS grant), so m's disposition is
 		// decided when the data arrives.
-		c.deferred[b] = append(c.deferred[b], m.Retain())
+		mshr.Deferred = append(mshr.Deferred, m.Retain())
 		return
 	}
 	c.foreign(m, b)
@@ -167,18 +154,14 @@ func (c *Cache) ordered(m *msg.Message) {
 // the total order.
 func (c *Cache) ownOrdered(m *msg.Message, b msg.Block) {
 	if m.Kind == msg.KindPutM {
-		e := c.wb[b]
-		if e == nil {
-			panic("snooping: own PutM ordered with no writeback entry")
-		}
-		delete(c.wb, b)
+		e := c.wb.Pop(b)
 		home := c.HomePort(b)
 		out := c.Net.NewMessage()
-		if e.owner {
+		if e.Owner {
 			*out = msg.Message{
 				Kind: msg.KindPutM, Cat: msg.CatData,
 				Src: c.CachePort(), Dst: home, Addr: b.Base(),
-				HasData: true, Data: e.data, Dirty: e.dirty,
+				HasData: true, Data: e.Data, Dirty: e.Dirty,
 			}
 		} else {
 			*out = msg.Message{
@@ -193,21 +176,21 @@ func (c *Cache) ownOrdered(m *msg.Message, b msg.Block) {
 	if mshr == nil {
 		panic("snooping: own request ordered with no MSHR")
 	}
-	if e, ok := c.wb[b]; ok && e.owner {
+	if e := c.wb.Owner(b); e != nil {
 		// This node evicted the block after issuing the request and is
 		// still its owner (the PutM is ordered later): nobody else will
 		// respond, so self-serve from the writeback buffer. The eventual
 		// PutM order point then reports a stale writeback.
 		l := c.EnsureL2(b)
 		l.Valid = true
-		l.Data = e.data
-		l.Dirty = e.dirty
+		l.Data = e.Data
+		l.Dirty = e.Dirty
 		if m.Kind == msg.KindGetM {
 			l.State = stateM
 		} else {
 			l.State = stateO
 		}
-		e.owner = false
+		e.Owner = false
 		c.CompleteMiss(mshr)
 		return
 	}
@@ -229,14 +212,14 @@ func (c *Cache) ownOrdered(m *msg.Message, b msg.Block) {
 // foreign applies the stable-state MOSI response policy; it is also used
 // to drain deferred requests once ownership is established.
 func (c *Cache) foreign(m *msg.Message, b msg.Block) {
-	if e, ok := c.wb[b]; ok && e.owner {
+	if e := c.wb.Owner(b); e != nil {
 		switch m.Kind {
 		case msg.KindGetS:
 			// Respond from the writeback buffer and remain responsible.
-			c.respondData(m.Requester, b, e.data, false, false, 0)
+			c.respondData(m.Requester, b, e.Data, false, false, 0)
 		case msg.KindGetM:
-			c.respondData(m.Requester, b, e.data, true, e.dirty, 0)
-			e.owner = false // the writeback is now stale
+			c.respondData(m.Requester, b, e.Data, true, e.Dirty, 0)
+			e.Owner = false // the writeback is now stale
 		}
 		return
 	}
@@ -310,8 +293,8 @@ func (c *Cache) onData(m *msg.Message) {
 		l.State = stateS
 	}
 	c.CompleteMiss(mshr)
-	defs := c.deferred[b]
-	delete(c.deferred, b)
+	defs := mshr.Deferred
+	mshr.Deferred = nil
 	for _, d := range defs {
 		c.foreign(d, b)
 		c.Net.FreeMessage(d)

@@ -66,7 +66,7 @@ func envelopes(t *testing.T, plan engine.Plan) (jobs []engine.Job, keys []string
 	}
 	envs = make([][]byte, len(jobs))
 	for i, job := range jobs {
-		run, snap, err := engine.RunPointMetrics(job.Point)
+		run, snap, err := engine.RunPointObserved(job.Point, nil)
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
@@ -249,7 +249,7 @@ func TestDuplicateDivergenceIsFatal(t *testing.T) {
 	}
 
 	// A "divergent" second delivery: same key, different run contents.
-	run, snap, err := engine.RunPointMetrics(jobs[idx].Point)
+	run, snap, err := engine.RunPointObserved(jobs[idx].Point, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

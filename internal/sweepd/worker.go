@@ -411,7 +411,7 @@ func (w *Worker) runPoint(job engine.Job, key string) (run *stats.Run, snap *sta
 				job.Point.Protocol, job.Point.Topo, job.Point.Workload, r, debug.Stack())
 		}
 	}()
-	run, snap, err = engine.RunPointMetrics(job.Point)
+	run, snap, err = engine.RunPointObserved(job.Point, nil)
 	if err == nil && w.Store != nil && key != "" {
 		if perr := w.Store.Put(key, run, snap); perr != nil {
 			return nil, nil, fmt.Errorf("sweepd worker: store put %s: %w", key, perr)

@@ -24,12 +24,10 @@ import (
 // block — pairwise across all runs. Timing differs wildly between
 // protocols; the committed write history must not.
 //
-// The message pool is poisoned for the duration, so any use-after-free
-// in the pooled hot path shows up as a loudly wrong image or an oracle
-// violation rather than silently stale data.
+// The message pool always poisons recycled messages, so any
+// use-after-free in the pooled hot path shows up as a loudly wrong image
+// or an oracle violation rather than silently stale data.
 func TestCrossProtocolDifferentialInvariant(t *testing.T) {
-	msg.PoolPoison = true
-	defer func() { msg.PoolPoison = false }()
 
 	const (
 		procs  = 8
@@ -80,8 +78,6 @@ func TestCrossProtocolDifferentialInvariant(t *testing.T) {
 // total-order proof at that scale), TokenB and Directory on the 8x8
 // torus. All three must agree on the final memory image.
 func TestCrossProtocolDifferentialInvariant64(t *testing.T) {
-	msg.PoolPoison = true
-	defer func() { msg.PoolPoison = false }()
 
 	const (
 		procs  = 64
@@ -124,8 +120,8 @@ func TestCrossProtocolDifferentialInvariant64(t *testing.T) {
 }
 
 // runDifferentialPoint builds and runs one protocol/topology system
-// directly (rather than through harness.Run) so the test can read the
-// oracle's final memory image.
+// directly (rather than through engine.RunPointObserved) so the test can
+// read the oracle's final memory image.
 func runDifferentialPoint(t *testing.T, proto, topoName string, procs, ops, warmup int, seed uint64, wl string, islands int) map[msg.Block]uint64 {
 	t.Helper()
 	cfg := machine.DefaultConfig()
@@ -204,8 +200,6 @@ func TestCrossProtocolDifferentialInvariant256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-processor differential invariant skipped in -short mode")
 	}
-	msg.PoolPoison = true
-	defer func() { msg.PoolPoison = false }()
 
 	const (
 		procs  = 256

@@ -121,13 +121,18 @@ type Run = stats.Run
 // Simulate executes one simulation point; Token Coherence runs are
 // audited for token conservation and every run is checked by the
 // coherence oracle.
-func Simulate(pt Point) (*Run, error) { return harness.Run(pt) }
+func Simulate(pt Point) (*Run, error) {
+	run, _, err := engine.RunPointObserved(pt, nil)
+	return run, err
+}
 
 // SimulateMetrics executes one simulation point and additionally returns
 // its metric snapshot: every named metric the machine, interconnect,
 // protocol, and registered probes published, readable by name (see
 // MetricSchema for discovery).
-func SimulateMetrics(pt Point) (*Run, *MetricSnapshot, error) { return harness.RunMetrics(pt) }
+func SimulateMetrics(pt Point) (*Run, *MetricSnapshot, error) {
+	return engine.RunPointObserved(pt, nil)
+}
 
 // MetricSchema reports the named metrics the point's simulation will
 // expose — without running it. The schema is deterministic for a fixed
